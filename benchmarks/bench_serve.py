@@ -4,20 +4,17 @@ Boots a real :class:`ReproServer` (HTTP, ephemeral port, shared artifact
 cache), drives a mixed cold/warm request stream from concurrent client
 threads — including one deliberate G001 budget kill and one injected
 cache fault — and writes latency percentiles, throughput, and the
-warm-cache hit rate to ``BENCH_serve.json`` at the repo root. A second
-section measures ``compile_graph`` on a generated module graph at
-``jobs=1`` vs ``jobs=N``.
+warm-cache hit rate to ``BENCH_serve.json`` at the repo root.
+Whole-graph compile time is measured by ``perfbench``'s ``build``
+workload.
 
 Usage::
 
     python benchmarks/bench_serve.py [--requests 60] [--concurrency 4]
-                                     [--backend interp] [--graph-modules 12]
-                                     [--jobs 4] [--out PATH]
+                                     [--backend interp] [--out PATH]
 
 The numbers are honest about the machine: ``cpu_count`` is recorded in
-the JSON, and on a single-core container the ``jobs=N`` speedup will be
-~1x (the parallel path is exercised for correctness; the speedup shows up
-in CI's multi-core runners).
+the JSON.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ if __package__ in (None, ""):
         0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     )
 
-from repro import Runtime
 from repro.faults import FaultPlan, FaultRule, use_fault_plan
 from repro.serve import ReproServer
 
@@ -177,66 +173,12 @@ def bench_serve(
     }
 
 
-# -- the parallel-compile section --------------------------------------------
-
-def write_graph(root: str, modules: int) -> list[str]:
-    """A layered diamond graph of ``modules`` files under ``root``."""
-    paths = []
-    for i in range(modules):
-        deps = [f"m{j}" for j in (i - 1, i - 2) if j >= 0]
-        requires = "\n".join(f'(require "{d}.rkt")' for d in deps)
-        body = (
-            f"#lang racket\n{requires}\n"
-            + "\n".join(f"(define (g{i}_{k} x) (+ x {k})) " for k in range(30))
-            + f"\n(define v{i} {i})\n(provide v{i})\n"
-        )
-        path = os.path.join(root, f"m{i}.rkt")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(body)
-        paths.append(path)
-    return paths
-
-
-def bench_graph(modules: int, jobs: int, backend: str) -> dict:
-    src_dir = tempfile.mkdtemp(prefix="repro-bench-graph-src-")
-    try:
-        roots = write_graph(src_dir, modules)
-        timings = {}
-        for label, n_jobs, mode in (
-            ("jobs1", 1, "serial"), (f"jobs{jobs}", jobs, "process")
-        ):
-            cache_dir = tempfile.mkdtemp(prefix="repro-bench-graph-")
-            try:
-                with Runtime(cache_dir=cache_dir, backend=backend) as rt:
-                    t0 = time.perf_counter()
-                    report = rt.compile_graph(roots, jobs=n_jobs, mode=mode)
-                    timings[label] = time.perf_counter() - t0
-                    assert report.ok, report.errors
-            finally:
-                shutil.rmtree(cache_dir, ignore_errors=True)
-        jobs1 = timings["jobs1"]
-        jobsn = timings[f"jobs{jobs}"]
-        return {
-            "modules": modules,
-            "jobs": jobs,
-            "mode": "process",
-            "jobs1_seconds": round(jobs1, 4),
-            f"jobs{jobs}_seconds": round(jobsn, 4),
-            "speedup": round(jobs1 / jobsn, 3) if jobsn else None,
-        }
-    finally:
-        shutil.rmtree(src_dir, ignore_errors=True)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int, default=60)
     parser.add_argument("--concurrency", type=int, default=4)
     parser.add_argument("--variants", type=int, default=8)
     parser.add_argument("--backend", default="interp", choices=("interp", "pyc"))
-    parser.add_argument("--graph-modules", type=int, default=12)
-    parser.add_argument("--jobs", type=int, default=4)
-    parser.add_argument("--skip-graph", action="store_true")
     parser.add_argument("--out", default=os.path.join(REPO_ROOT, "BENCH_serve.json"))
     args = parser.parse_args(argv)
 
@@ -249,9 +191,6 @@ def main(argv=None) -> int:
             args.requests, args.concurrency, args.variants, args.backend
         ),
     }
-    if not args.skip_graph:
-        result["graph"] = bench_graph(args.graph_modules, args.jobs, args.backend)
-
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
@@ -264,14 +203,6 @@ def main(argv=None) -> int:
         f"warm hit rate {serve['warm_hit_rate']:.0%}  "
         f"kills {serve['budget_kills']}"
     )
-    if "graph" in result:
-        g = result["graph"]
-        jobsn_seconds = g[f"jobs{g['jobs']}_seconds"]
-        print(
-            f"graph: {g['modules']} modules  jobs=1 {g['jobs1_seconds']}s  "
-            f"jobs={g['jobs']} {jobsn_seconds}s  "
-            f"speedup {g['speedup']}x  (cpu_count={result['cpu_count']})"
-        )
     print(f"wrote {args.out}")
     return 0
 

@@ -1130,7 +1130,7 @@ def _canonical_code(code: "types.CodeType") -> "types.CodeType":
     depend on what else the process has compiled (and freed) before —
     compiling the same module in a fresh Runtime can legally yield
     different bytes for identical code. The artifact cache's determinism
-    contract (parallel build == serial build, byte-for-byte) needs the
+    contract (concurrent builds == serial build, byte-for-byte) needs the
     dump to be a pure function of the code's *values*, so: intern every
     string (equal strings collapse to one identity everywhere) and
     rebuild nested tuples/frozensets fresh (equal composites never

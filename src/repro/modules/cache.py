@@ -154,6 +154,23 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _try_lock(lock_path: str) -> Optional[int]:
+    """Open and exclusively lock ``lock_path`` without blocking; returns
+    the descriptor, or None when someone else holds the lock."""
+    if fcntl is None:  # pragma: no cover - non-posix fallback
+        try:
+            return os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+        except FileExistsError:
+            return None
+    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        os.close(fd)
+        return None
+    return fd
+
+
 def default_cache_dir() -> str:
     return os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
 
@@ -297,6 +314,10 @@ class ModuleCache:
         #: how long a load will wait for a live concurrent writer to
         #: publish the artifact before giving up and compiling anyway
         self.winner_timeout = 30.0
+        #: artifact file -> stat identity of an artifact ``load`` rejected
+        #: as stale; a writer that wins the claim afterwards tells it apart
+        #: from one a concurrent writer published meanwhile
+        self._stale: dict[str, tuple[int, int]] = {}
         self._dir_ok = False
 
     # -- paths and keys -----------------------------------------------------
@@ -407,36 +428,34 @@ class ModuleCache:
 
     # -- locking (one writer per content hash) -------------------------------
 
-    def _acquire_lock(self, file: str) -> Optional[tuple]:
+    def _acquire_lock(
+        self, file: str, event: Optional[threading.Event] = None
+    ) -> Optional[tuple]:
         """Advisory per-artifact lock; None when another writer holds it.
 
-        Uses ``flock`` where available (O_CREAT|O_EXCL elsewhere). The lock
-        file is removed on release; the classic unlink/flock race between
-        three writers is benign here because the artifact itself is written
-        via atomic rename and is content-addressed — the worst case is one
-        redundant identical write, never a torn or mixed artifact.
+        Uses ``flock`` where available (O_CREAT|O_EXCL elsewhere). With
+        ``event`` (a writer claim), the lock is taken and the event entered
+        in ``_INFLIGHT`` in one step, so a thread of this process that finds
+        the lock taken finds the holder's event too. The lock file is
+        removed on release; in the classic unlink/flock race two writers can
+        both hold "the" lock, which is benign here: a claim re-checks the
+        artifact once it holds the lock (:meth:`claim_writer`), and the
+        artifact itself is written via atomic rename and is
+        content-addressed — never a torn or mixed artifact.
         """
         lock_path = f"{file}.lock"
         try:
             fault_point("cache.lock")
-            if fcntl is not None:
-                fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                except OSError:
-                    os.close(fd)
+            with _INFLIGHT_LOCK:
+                fd = _try_lock(lock_path)
+                if fd is None:
                     return None
-                self._stamp_lock(fd)
-                return (fd, lock_path)
-            fd = os.open(  # pragma: no cover - non-posix fallback
-                lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
-            self._stamp_lock(fd)  # pragma: no cover
-            return (fd, lock_path)  # pragma: no cover
-        except FileExistsError:  # pragma: no cover - non-posix fallback
-            return None
+                if event is not None:
+                    _INFLIGHT[file] = event
         except OSError:
             return None
+        self._stamp_lock(fd)
+        return (fd, lock_path)
 
     @staticmethod
     def _stamp_lock(fd: int) -> None:
@@ -489,44 +508,53 @@ class ModuleCache:
         content-addressed, so two contexts compiling the same key would do
         byte-identical work — one of them should wait instead:
 
-        - returns ``(claim, False)`` when this context won: it holds the
-          artifact's advisory lock for the whole compile+store, and must
-          hand ``claim`` to :meth:`store` and then :meth:`release_writer`;
+        - returns ``(claim, False)`` when this context won and the artifact
+          is still missing: it holds the artifact's advisory lock for the
+          whole compile+store, and must hand ``claim`` to :meth:`store` and
+          then :meth:`release_writer`;
+        - returns ``(claim, True)`` when this context won, but a concurrent
+          writer published the artifact between the caller's miss and this
+          claim — re-load it, and compile and store under ``claim`` only if
+          that load fails too;
         - returns ``(None, True)`` when a concurrent winner (another
-          thread of this process, or a live lock-holding process) was
-          waited for and published the artifact — re-load it;
+          thread of this process, or a live lock-holding process) published
+          the artifact, waited for if need be — re-load it;
         - returns ``(None, False)`` when there is nothing to coordinate
-          with (no live holder, an unattributable lock, a timeout, or a
-          disabled cache) — compile locally; the store degrades safely.
+          with (no live holder, an unattributable lock, a winner that gave
+          up, a timeout, or a disabled cache) — compile locally; the store
+          degrades safely.
         """
         if self.disabled or not self._ensure_dir():
             return None, False
         file = self.artifact_path(path, lang, registry.source_hash(path))
-        lock = self._acquire_lock(file)
+        event = threading.Event()
+        lock = self._acquire_lock(file, event)
         if lock is not None:
-            event = threading.Event()
-            with _INFLIGHT_LOCK:
-                _INFLIGHT[file] = event
-            return (file, lock, event), False
-        # contended. An in-process compile registers an in-flight event —
+            return (file, lock, event), self._published(file)
+        # contended. An in-process compile holds an in-flight event —
         # wait on that (cheap, exact); otherwise fall back to watching a
-        # live foreign process's lock. A lock with no live in-flight entry
-        # and no (or our own) recorded PID is *unattributable* — somebody
+        # live foreign process's lock. A lock with no in-flight entry and
+        # no (or our own) recorded PID is *unattributable* — somebody
         # is holding the file but provably not compiling here — so
         # compiling locally beats waiting for a phantom.
         with _INFLIGHT_LOCK:
             event = _INFLIGHT.get(file)
+        if event is None and self._published(file):
+            # the winner stored and released since our attempt
+            return None, True
         if event is not None:
-            if event.wait(self.winner_timeout) and os.path.exists(file):
-                self.waits += 1
-                self._instant("wait-winner", path)
-                return None, True
-            self._warn(
-                "C106",
-                f"timed out waiting {self.winner_timeout}s for a concurrent "
-                f"compile of {path}; compiling it here too",
-            )
-            return None, False
+            if not event.wait(self.winner_timeout):
+                self._warn(
+                    "C106",
+                    f"timed out waiting {self.winner_timeout}s for a concurrent "
+                    f"compile of {path}; compiling it here too",
+                )
+                return None, False
+            if not os.path.exists(file):
+                return None, False  # the winner gave up
+            self.waits += 1
+            self._instant("wait-winner", path)
+            return None, True
         holder = self._lock_holder(f"{file}.lock")
         if holder is None or holder == os.getpid() or not _pid_alive(holder):
             return None, False
@@ -548,6 +576,21 @@ class ModuleCache:
         )
         return None, False
 
+    def _published(self, file: str) -> bool:
+        """Whether an artifact is at ``file`` other than the one this cache
+        last rejected there as stale."""
+        try:
+            st = os.stat(file)
+        except OSError:
+            return False
+        return self._stale.pop(file, None) != (st.st_ino, st.st_mtime_ns)
+
+    def _reject_stale(self, file: str) -> None:
+        """Remember the stale artifact at ``file`` (see :meth:`_published`)."""
+        with suppress(OSError):
+            st = os.stat(file)
+            self._stale[file] = (st.st_ino, st.st_mtime_ns)
+
     def release_writer(self, claim: tuple) -> None:
         """Release a winning :meth:`claim_writer` claim (always runs, even
         when the compile failed — waiters re-check the artifact on wake)."""
@@ -555,8 +598,9 @@ class ModuleCache:
         with _INFLIGHT_LOCK:
             if _INFLIGHT.get(file) is event:
                 del _INFLIGHT[file]
+            # together with the entry (see _acquire_lock)
+            self._release_lock(lock)
         event.set()
-        self._release_lock(lock)
 
     # -- load ---------------------------------------------------------------
 
@@ -623,6 +667,7 @@ class ModuleCache:
                     f"{dep_path} is unavailable ({type(err).__name__}); "
                     f"recompiling from source",
                 )
+                self._reject_stale(file)
                 STATS.cache_invalidations += 1
                 STATS.cache_misses += 1
                 self._instant("invalidation", path)
@@ -633,6 +678,7 @@ class ModuleCache:
                     f"stale compiled artifact for {path}: dependency "
                     f"{dep_path} changed; recompiling from source",
                 )
+                self._reject_stale(file)
                 STATS.cache_invalidations += 1
                 STATS.cache_misses += 1
                 self._instant("invalidation", path)

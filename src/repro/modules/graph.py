@@ -1,37 +1,26 @@
-"""Parallel module-graph compilation.
+"""Module-graph compilation.
 
-``compile_graph`` compiles a set of modules (and their dependencies) by
-fanning independent modules out across a ``concurrent.futures`` pool. The
-content-hashed artifact cache (:mod:`repro.modules.cache`) is the single
-coordination point: every worker builds its own Runtime against the shared
-cache directory, compiled artifacts land there atomically, and two workers
-that race to the same module are reconciled by the cache's writer-claim
-protocol (the loser waits for the winner's artifact instead of duplicating
-the compile). The scheduler is therefore an *optimization*, not a
-correctness mechanism — a module the dependency scan missed is simply
-compiled transitively by whichever worker requires it first.
+``compile_graph`` compiles a set of modules (and their dependencies) in
+the calling registry, in dependency order. Each module is compiled once,
+against its dependencies' compiled forms (§5's phase-separated
+compilation); with an artifact cache, a module whose artifact is already
+on disk is loaded rather than recompiled.
 
 Scheduling: a cheap top-level scan of each module's ``require`` forms
-produces a dependency graph; Kahn's algorithm layers it into *waves* of
-mutually independent modules, and each wave is chunked across the pool.
-The scan is best-effort by design (a macro that expands into a ``require``
-is invisible to it) — see the module-graph note above.
+produces a dependency graph, and Kahn's algorithm layers it into *waves* of
+mutually independent modules, compiled wave by wave. The scan is
+best-effort by design (a macro that expands into a ``require`` is invisible
+to it): a module the scan missed is simply compiled transitively by the
+first module that requires it, so the order is an optimization, never a
+correctness mechanism.
 
-Execution modes:
-
-- ``"process"`` (default when ``jobs > 1``): a ``ProcessPoolExecutor``
-  (fork start method when the platform offers it, else spawn). This is the
-  mode that actually buys wall-clock speedup — compilation is pure Python,
-  so threads serialize on the GIL. Exercises the cache's *cross-process*
-  coordination (PID-stamped lock files).
-- ``"thread"``: a ``ThreadPoolExecutor``; each worker thread still builds
-  its own Runtime. No speedup under the GIL, but the same scheduling and
-  the cache's *in-process* wait-for-winner path — which is what the
-  concurrency stress suite wants to hammer deterministically.
-
-Only on-disk modules are dispatched to workers (a worker re-registers the
-file by path); in-memory modules (``register_module`` sources) are compiled
-in the calling Runtime, since only it holds their source forms.
+Several processes may build graphs against one cache directory at once
+(for example N ``repro`` processes); they cooperate through the cache's
+per-artifact writer claim (:meth:`repro.modules.cache.ModuleCache.claim_writer`),
+so each artifact is compiled and stored by one of them and loaded by the
+rest. There is no in-process worker pool: compilation is pure Python, so
+threads serialize on the GIL, and worker processes paid more to re-load
+every dependency from the cache than they saved.
 """
 
 from __future__ import annotations
@@ -60,7 +49,10 @@ class ModuleResult:
         error: Optional[str] = None,
     ) -> None:
         self.path = path
-        #: "compiled" | "cache-hit" | "failed"
+        #: "compiled" (compiled from source during this run, by its own
+        #: compile or transitively by an earlier module's) | "cache-hit"
+        #: (loaded from the artifact cache, or already compiled in the
+        #: registry) | "failed"
         self.status = status
         self.seconds = seconds
         self.wave = wave
@@ -73,9 +65,7 @@ class ModuleResult:
 class GraphReport:
     """What ``compile_graph`` did: per-module outcomes plus the schedule."""
 
-    def __init__(self, jobs: int, mode: str) -> None:
-        self.jobs = jobs
-        self.mode = mode
+    def __init__(self) -> None:
         self.waves: list[list[str]] = []
         self.results: dict[str, ModuleResult] = {}
         self.seconds = 0.0
@@ -100,8 +90,6 @@ class GraphReport:
 
     def snapshot(self) -> dict[str, Any]:
         return {
-            "jobs": self.jobs,
-            "mode": self.mode,
             "seconds": self.seconds,
             "waves": [list(w) for w in self.waves],
             "counts": self.counts(),
@@ -119,8 +107,7 @@ class GraphReport:
     def __repr__(self) -> str:
         c = self.counts()
         return (
-            f"#<graph-report jobs={self.jobs} mode={self.mode} "
-            f"compiled={c['compiled']} cache-hit={c['cache-hit']} "
+            f"#<graph-report compiled={c['compiled']} cache-hit={c['cache-hit']} "
             f"failed={c['failed']} {self.seconds:.3f}s>"
         )
 
@@ -223,116 +210,39 @@ def plan_waves(
     return waves, deps
 
 
-# -- the pool worker ---------------------------------------------------------
+# -- the build ----------------------------------------------------------------
 
 
 def _compile_batch(
-    paths: list[str],
-    cache_dir: str,
-    backend: str,
-    expansion_fuel: Optional[int],
-) -> dict[str, tuple[str, float, Optional[str]]]:
-    """Compile a batch of on-disk modules into the shared cache.
-
-    Module-level (hence picklable) so it runs in a ProcessPoolExecutor;
-    the same function serves thread mode. Builds one fresh Runtime per
-    batch — the artifacts it publishes into ``cache_dir`` are the result;
-    the Runtime itself is torn down before returning.
-    """
-    from repro.tools.runner import Runtime
-
-    results: dict[str, tuple[str, float, Optional[str]]] = {}
-    rt = Runtime(
-        cache_dir=cache_dir,
-        backend=backend,
-        expansion_fuel=expansion_fuel,
-    )
-    try:
-        for path in paths:
-            t0 = time.perf_counter()
-            try:
-                canon = rt.register_file(path)
-                before = rt.stats.cache_misses
-                rt.compile(canon)
-                status = "compiled" if rt.stats.cache_misses > before else "cache-hit"
-                results[path] = (status, time.perf_counter() - t0, None)
-            except ReproError as err:
-                results[path] = ("failed", time.perf_counter() - t0, str(err))
-            except OSError as err:
-                results[path] = (
-                    "failed",
-                    time.perf_counter() - t0,
-                    f"cannot read {path}: {err.strerror or err}",
-                )
-    finally:
-        rt.close()
-    return results
-
-
-def _chunk(items: list[str], jobs: int) -> list[list[str]]:
-    """Split a wave into at most ``jobs`` contiguous, balanced batches."""
-    n = min(jobs, len(items))
-    if n <= 0:
-        return []
-    size, extra = divmod(len(items), n)
-    out: list[list[str]] = []
-    start = 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
-
-
-def _make_executor(mode: str, jobs: int) -> Any:
-    import concurrent.futures
-
-    if mode == "thread":
-        return concurrent.futures.ThreadPoolExecutor(max_workers=jobs)
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork
-        ctx = multiprocessing.get_context("spawn")
-    return concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
-
-
-# -- the driver --------------------------------------------------------------
-
-
-def compile_graph(
     registry: "ModuleRegistry",
     paths: list[str],
-    *,
-    jobs: Optional[int] = None,
-    mode: Optional[str] = None,
-) -> GraphReport:
-    """Compile ``paths`` (and their dependencies), fanning independent
-    modules across a worker pool; see the module docstring for the model.
-
-    ``jobs=None`` uses ``os.cpu_count()``; ``jobs=1`` compiles serially in
-    the calling registry (the differential baseline). ``jobs > 1`` requires
-    an artifact cache — it is the only channel through which workers hand
-    their results back. After the fan-out the calling registry cache-loads
-    every artifact, so on return the modules are compiled *in this
-    registry* exactly as if it had done all the work itself.
-    """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    if jobs < 1:
-        raise ValueError(f"compile_graph: jobs must be >= 1, got {jobs}")
-    if mode is None:
-        mode = "process" if jobs > 1 else "serial"
-    if mode not in ("serial", "process", "thread"):
-        raise ValueError(f"compile_graph: unknown mode: {mode}")
-    if jobs > 1 and registry.cache is None:
-        raise ValueError(
-            "compile_graph: jobs > 1 requires an artifact cache "
-            "(workers publish their results through it); build the "
-            "Runtime with cache=True or cache_dir=..."
+    wave_no: int,
+    report: GraphReport,
+) -> None:
+    """Compile one wave's modules in order, recording each outcome in
+    ``report``. A module counts as ``"compiled"`` when the registry compiled
+    it from source at any point of this run (``registry.source_compiles``),
+    otherwise as a ``"cache-hit"``."""
+    for path in paths:
+        t0 = time.perf_counter()
+        try:
+            registry.get_compiled(path)
+        except ReproError as err:
+            report.results[path] = ModuleResult(
+                path, "failed", time.perf_counter() - t0, wave_no, str(err)
+            )
+            continue
+        status = "compiled" if path in registry.source_compiles else "cache-hit"
+        report.results[path] = ModuleResult(
+            path, status, time.perf_counter() - t0, wave_no
         )
 
+
+def compile_graph(registry: "ModuleRegistry", paths: list[str]) -> GraphReport:
+    """Compile ``paths`` and their dependencies in the calling registry,
+    wave by wave in dependency order; see the module docstring. A module
+    that fails is reported (status ``"failed"``) and the build goes on with
+    the rest, so one report names every failure."""
     from repro.observe.recorder import current_recorder
 
     rec = current_recorder()
@@ -347,104 +257,15 @@ def compile_graph(
 
     with rec.span("graph", f"plan {len(resolved)} roots"):
         waves, _deps = plan_waves(registry, resolved)
-    report = GraphReport(jobs, mode)
+    report = GraphReport()
     report.waves = waves
 
-    def _serial_compile(path: str, wave_no: int) -> None:
-        t0 = time.perf_counter()
-        try:
-            before = (
-                registry.compiled.get(path) is not None
-                or _has_artifact(registry, path)
-            )
-            registry.get_compiled(path)
-            status = "cache-hit" if before else "compiled"
-            report.results[path] = ModuleResult(
-                path, status, time.perf_counter() - t0, wave_no
-            )
-        except ReproError as err:
-            report.results[path] = ModuleResult(
-                path, "failed", time.perf_counter() - t0, wave_no, str(err)
-            )
-
-    if jobs == 1 or mode == "serial":
-        for wave_no, wave in enumerate(waves):
-            for path in wave:
-                _serial_compile(path, wave_no)
-        report.seconds = time.perf_counter() - t_start
-        return report
-
-    import concurrent.futures
-
-    executor = _make_executor(mode, jobs)
+    registry.source_compiles = set()
     try:
         for wave_no, wave in enumerate(waves):
-            disk = [p for p in wave if os.path.exists(p)]
-            local = [p for p in wave if p not in disk]
-            # in-memory modules: only this registry holds their forms
-            for path in local:
-                _serial_compile(path, wave_no)
-            if not disk:
-                continue
-            with rec.span("graph", f"wave {wave_no} ({len(disk)} modules)"):
-                futures = {
-                    executor.submit(
-                        _compile_batch,
-                        batch,
-                        registry.cache.dir,
-                        registry.backend,
-                        registry.expansion_fuel,
-                    ): batch
-                    for batch in _chunk(disk, jobs)
-                }
-                for future in concurrent.futures.as_completed(futures):
-                    batch = futures[future]
-                    try:
-                        outcomes = future.result()
-                    except BaseException as err:  # worker died (crash, kill)
-                        for path in batch:
-                            report.results[path] = ModuleResult(
-                                path, "failed", 0.0, wave_no,
-                                f"worker failed: {err}",
-                            )
-                        continue
-                    for path, (status, seconds, error) in outcomes.items():
-                        report.results[path] = ModuleResult(
-                            path, status, seconds, wave_no, error
-                        )
+            with rec.span("graph", f"wave {wave_no} ({len(wave)} modules)"):
+                _compile_batch(registry, wave, wave_no, report)
     finally:
-        executor.shutdown(wait=True)
-
-    # adopt the workers' artifacts: cache-load every successfully compiled
-    # module into *this* registry (deps first — get_compiled recurses, so
-    # plain topo order suffices)
-    with rec.span("graph", "adopt artifacts"):
-        for wave_no, wave in enumerate(waves):
-            for path in wave:
-                result = report.results.get(path)
-                if result is None or result.status == "failed":
-                    continue
-                if registry.compiled.get(path) is not None:
-                    continue
-                try:
-                    registry.get_compiled(path)
-                except ReproError as err:
-                    report.results[path] = ModuleResult(
-                        path, "failed", result.seconds, wave_no, str(err)
-                    )
+        registry.source_compiles = None
     report.seconds = time.perf_counter() - t_start
     return report
-
-
-def _has_artifact(registry: "ModuleRegistry", path: str) -> bool:
-    """Whether the cache already holds an artifact for ``path`` (used only
-    to label serial results compiled vs cache-hit)."""
-    cache = registry.cache
-    if cache is None:
-        return False
-    try:
-        lang, _forms = registry.sources[path]
-        file = cache.artifact_path(path, lang, registry.source_hash(path))
-    except (KeyError, OSError):
-        return False
-    return os.path.exists(file)

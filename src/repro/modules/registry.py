@@ -265,8 +265,8 @@ class Language:
 #: typed prims, datalog), so a registry built *after* another Runtime saw a
 #: larger PRIMITIVES table than the process's first registry did — which
 #: made compiled artifacts differ byte-for-byte between the first and later
-#: Runtimes (and between a parallel compile worker's fresh process and a
-#: warm parent). One shared snapshot makes every registry — any Runtime,
+#: Runtimes (and between a fresh process and a warm one building against
+#: the same cache). One shared snapshot makes every registry — any Runtime,
 #: any process — agree on the kernel environment.
 _KERNEL_EXPORTS: Optional[dict[str, Export]] = None
 
@@ -275,18 +275,23 @@ def _kernel_exports() -> dict[str, Export]:
     global _KERNEL_EXPORTS
     if _KERNEL_EXPORTS is not None:
         return _KERNEL_EXPORTS
+    # the kernel modules that add primitives when imported (local-expand,
+    # the syntax primitives), imported here so the snapshot, and the bytes
+    # of every artifact, do not depend on what the process imported before
+    # its first registry; names are sorted for the same reason
+    import repro.expander.expander  # noqa: F401
+    from repro.expander.quasisyntax import expand_quasisyntax
+
     exports: dict[str, Export] = {}
     for name, binding in CORE_FORMS.items():
         exports[name] = Export(name, binding)
-    for name in PRIMITIVES:
+    for name in sorted(PRIMITIVES):
         exports[name] = Export(name, ModuleBinding(KERNEL_PATH, Symbol(name)))
     # `syntax-rules` is recognized specially by define-syntaxes
     exports["syntax-rules"] = Export(
         "syntax-rules", ModuleBinding(KERNEL_PATH, Symbol("syntax-rules"))
     )
     # `quasisyntax` (#`) is a kernel macro, for procedural object macros
-    from repro.expander.quasisyntax import expand_quasisyntax
-
     exports["quasisyntax"] = Export(
         "quasisyntax",
         ModuleBinding(KERNEL_PATH, Symbol("quasisyntax")),
@@ -306,6 +311,9 @@ class ModuleRegistry:
         self.sources: dict[str, tuple[str, list[Any]]] = {}  # path -> (lang, forms)
         self.compiled: dict[str, CompiledModule] = {}
         self._compiling: list[str] = []
+        #: while ``compile_graph`` runs: every path compiled from source
+        #: (rather than loaded from the artifact cache), to label its report
+        self.source_compiles: Optional[set[str]] = None
         #: values provided by Python-implemented modules, preloaded into
         #: every namespace: binding key -> value
         self.py_values: dict[Any, Any] = {}
@@ -564,6 +572,8 @@ class ModuleRegistry:
                             compiled = self.cache.load(self, path, cache_key)
             if compiled is None:
                 compiled = compile_module(self, path, lang_name, forms)
+                if self.source_compiles is not None:
+                    self.source_compiles.add(path)
                 self._full_keys[path] = self._compute_full_key(
                     path, lang_name, compiled.requires
                 )
@@ -597,20 +607,13 @@ class ModuleRegistry:
         self.compiled[path] = compiled
         return compiled
 
-    def compile_graph(
-        self,
-        paths: list[str],
-        *,
-        jobs: Optional[int] = None,
-        mode: Optional[str] = None,
-    ) -> Any:
-        """Compile a module graph, fanning independent modules across a
-        worker pool coordinated through the artifact cache; returns a
+    def compile_graph(self, paths: list[str]) -> Any:
+        """Compile a module graph in dependency order; returns a
         :class:`repro.modules.graph.GraphReport`. See
         :func:`repro.modules.graph.compile_graph`."""
         from repro.modules.graph import compile_graph
 
-        return compile_graph(self, paths, jobs=jobs, mode=mode)
+        return compile_graph(self, paths)
 
     def ensure_pyc_unit(self, compiled: "CompiledModule", *, store: bool = True):
         """The module's pyc code-object unit, generating it when missing or

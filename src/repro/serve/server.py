@@ -22,9 +22,10 @@ Protocol (all bodies JSON):
 
 ``POST /compile``
     Either ``{"source": ...}`` (anonymous module, reports diagnostics
-    without running) or ``{"paths": [...], "jobs": N, "mode": ...}`` — a
-    parallel module-graph compilation (:mod:`repro.modules.graph`) whose
-    artifacts land in the shared cache for every later request.
+    without running) or ``{"paths": [...]}`` — a module-graph compilation
+    in dependency order (:mod:`repro.modules.graph`) whose artifacts land
+    in the shared cache for every later request. Unknown graph fields are
+    a 400.
 
 ``GET /healthz``
     Liveness: ``{"ok": true, "uptime_s": ..., "requests": ...}``.
@@ -61,6 +62,9 @@ _REQ_IDS = itertools.count(1)
 
 #: budget keys a request may set; anything else in "budget" is rejected
 _BUDGET_KEYS = frozenset({"steps", "seconds", "max_depth", "allocations"})
+
+#: the fields a ``POST /compile`` graph body may carry
+_GRAPH_KEYS = frozenset({"paths", "tenant"})
 
 _NUMERIC_STATS = (
     "expansion_steps", "eval_steps", "cache_hits", "cache_misses",
@@ -373,12 +377,11 @@ class ReproServer:
         paths = body.get("paths")
         if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
             raise _BadRequest('"paths" must be a list of strings')
-        jobs = body.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 1:
-            raise _BadRequest('"jobs" must be a positive integer')
-        mode = body.get("mode")
-        if mode is not None and mode not in ("serial", "process", "thread"):
-            raise _BadRequest('"mode" must be serial, process, or thread')
+        unknown = set(body) - _GRAPH_KEYS
+        if unknown:
+            raise _BadRequest(
+                f"unknown graph fields: {', '.join(sorted(unknown))}"
+            )
         tenant = body.get("tenant", "default")
         if not isinstance(tenant, str) or not tenant:
             raise _BadRequest('"tenant" must be a non-empty string')
@@ -386,7 +389,7 @@ class ReproServer:
         t0 = time.perf_counter()
         try:
             try:
-                report = rt.compile_graph(paths, jobs=jobs, mode=mode)
+                report = rt.compile_graph(paths)
             except (ReproError, ValueError) as err:
                 with self._stats_lock:
                     self.errors += 1

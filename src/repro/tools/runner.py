@@ -254,21 +254,15 @@ class Runtime:
                 return CompileResult(None, [Diagnostic.from_error(err)])
             return CompileResult(module, [])
 
-    def compile_graph(
-        self,
-        paths: list[str],
-        *,
-        jobs: Optional[int] = None,
-        mode: Optional[str] = None,
-    ) -> Any:
-        """Compile a module graph in parallel (see
-        :func:`repro.modules.graph.compile_graph`): independent modules fan
-        out across a worker pool (``jobs=None`` → ``os.cpu_count()``), the
-        artifact cache is the coordination point, and on return every
-        module is compiled in *this* Runtime exactly as if it had compiled
-        the graph serially. ``jobs > 1`` requires the cache."""
+    def compile_graph(self, paths: list[str]) -> Any:
+        """Compile ``paths`` and their dependencies in this Runtime, wave by
+        wave in dependency order (see :func:`repro.modules.graph.compile_graph`).
+        Returns a :class:`~repro.modules.graph.GraphReport` with each
+        module's status (compiled, cache-hit or failed) and time; a failing
+        module is reported, not raised. Processes building against one
+        cache directory cooperate through the cache's writer claim."""
         with self._observed():
-            return self.registry.compile_graph(paths, jobs=jobs, mode=mode)
+            return self.registry.compile_graph(paths)
 
     def make_namespace(self) -> Namespace:
         return self.registry.make_runtime_namespace()

@@ -1,21 +1,25 @@
-"""Differential property: parallel compilation is invisible.
+"""Differential property: concurrent builds are invisible.
 
 For seeded random module graphs (random DAG shapes mixing diamond and
-chain dependencies, random mixes of values, functions, and macros),
-``compile_graph(jobs=8, mode="thread")`` must produce **byte-identical**
-``.zo`` artifacts and the same per-module export sets as ``jobs=1`` —
-the scheduler may only change *when* modules compile, never *what* they
-compile to. This is the determinism contract the shared artifact cache
-rests on: a warm cache filled by a parallel build must be
-indistinguishable from one filled serially.
+chain dependencies, dialect modules, random mixes of values, functions,
+and macros), two OS processes running ``compile_graph`` against one cache
+directory at the same time must leave **byte-identical** ``.zo`` artifacts
+and the same per-module export sets as one build in a fresh directory —
+which process compiles a module may change, never *what* it compiles to.
+This is the determinism contract the shared artifact cache rests on: a
+cache filled by racing builds must be indistinguishable from one filled by
+a single build.
 """
 
 from __future__ import annotations
 
 import glob
 import hashlib
+import json
 import os
 import random
+import subprocess
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +41,8 @@ def make_graph(root: str, seed: int) -> list[str]:
         terms = " ".join([str(rng.randint(1, 9))] + [f"v{j}" for j in deps])
         if rng.random() < 0.4:
             # dialect-bearing module: the infix rewrite runs pre-expansion
-            # on a worker thread/process, and must be just as deterministic
+            # in whichever process compiles it, and must be just as
+            # deterministic
             lang = "racket/infix"
             infix_terms = " + ".join(
                 [str(rng.randint(1, 9))] + [f"v{j}" for j in deps]
@@ -76,35 +81,81 @@ def digests(cache_dir: str) -> dict[str, str]:
     return out
 
 
-def compile_and_observe(paths: list[str], cache_dir: str, jobs: int) -> dict:
-    """Compile the graph; return artifact digests and per-module exports."""
-    mode = "thread" if jobs > 1 else "serial"
-    with Runtime(cache_dir=cache_dir) as rt:
-        report = rt.compile_graph(paths, jobs=jobs, mode=mode)
-        assert report.ok, report.errors
-        exports = {
-            os.path.basename(path): sorted(
-                rt.registry.compiled[rt.registry.register_file(path)].exports
-            )
-            for path in paths
-        }
-    return {"digests": digests(cache_dir), "exports": exports}
+def observe(rt, paths: list[str]) -> dict[str, list[str]]:
+    """Each module's sorted export names, keyed by file name."""
+    return {
+        os.path.basename(path): sorted(
+            rt.registry.compiled[rt.registry.register_file(path)].exports
+        )
+        for path in paths
+    }
 
 
-@settings(max_examples=8, deadline=None)
+#: one racing build: waits for the go file, builds, prints its exports
+BUILD = """
+import json, os, sys, time
+from repro import Runtime
+go, cache_dir, paths = sys.argv[1], sys.argv[2], sys.argv[3:]
+deadline = time.monotonic() + 60
+while not os.path.exists(go) and time.monotonic() < deadline:
+    time.sleep(0.005)
+with Runtime(cache_dir=cache_dir) as rt:
+    report = rt.compile_graph(paths)
+    exports = {
+        os.path.basename(p): sorted(
+            rt.registry.compiled[rt.registry.register_file(p)].exports
+        )
+        for p in paths
+    } if report.ok else {}
+print(json.dumps({"errors": report.errors, "exports": exports}))
+"""
+
+
+def race(paths: list[str], cache_dir: str, go: str, processes: int) -> list[dict]:
+    """Start ``processes`` builds, release them together, collect them."""
+    import repro
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", BUILD, go, cache_dir, *paths],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(processes)
+    ]
+    with open(go, "w"):
+        pass
+    outcomes = [(proc, *proc.communicate(timeout=300)) for proc in procs]
+    for proc, _out, err in outcomes:
+        assert proc.returncode == 0, err
+    return [json.loads(out) for _proc, out, _err in outcomes]
+
+
+@settings(max_examples=6, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_parallel_compile_is_byte_identical_to_serial(seed, tmp_path_factory):
     base = tmp_path_factory.mktemp(f"prop-parallel-{seed}")
     paths = make_graph(str(base / "src"), seed)
 
-    serial = compile_and_observe(paths, str(base / "serial"), jobs=1)
-    parallel = compile_and_observe(paths, str(base / "parallel"), jobs=8)
+    serial_dir = str(base / "serial")
+    with Runtime(cache_dir=serial_dir) as rt:
+        report = rt.compile_graph(paths)
+        assert report.ok, report.errors
+        serial_exports = observe(rt, paths)
+    serial_digests = digests(serial_dir)
+    assert len(serial_digests) == len(paths)
 
+    shared = str(base / "shared")
+    for build in race(paths, shared, str(base / "go"), processes=2):
+        assert build["errors"] == {}
+        # the same visible surface: every module exports the same names
+        assert build["exports"] == serial_exports
     # same modules → same artifact *bytes*, not merely equivalent ones
-    assert parallel["digests"] == serial["digests"]
-    assert len(serial["digests"]) == len(paths)
-    # and the same visible surface: every module exports the same names
-    assert parallel["exports"] == serial["exports"]
+    assert digests(shared) == serial_digests
 
 
 def test_dialect_stack_changes_cache_key(tmp_path):

@@ -1,4 +1,4 @@
-"""Concurrency stress suite (parallel compilation against one cache).
+"""Concurrency stress suite (concurrent compilation against one cache).
 
 N threads × M Runtimes compile an overlapping on-disk module graph against
 a single shared artifact-cache directory. The pinned properties:
@@ -11,8 +11,12 @@ a single shared artifact-cache directory. The pinned properties:
 - **no torn artifacts** — an injected crash mid-parallel-compile
   (``repro.faults``) leaves debris only in ``.tmp`` files; every committed
   ``.zo`` still verifies, and recovery recompiles cleanly;
-- **parallel ≡ serial** — outputs and artifact bytes are identical to a
-  one-Runtime serial compile, under both backends;
+- **concurrent ≡ serial** — outputs and artifact bytes are identical to a
+  one-Runtime serial compile, under both backends, including when several
+  Runtimes run ``compile_graph`` over one cache at once;
+- **no compile after a lost race** — a Runtime that misses, then claims
+  the artifact after another Runtime stored it, loads it (pinned
+  deterministically with a fault plan);
 - ``repro cache doctor`` is safe to run while compiles are in flight;
 - regression tests for the binding-table races found in this PR's audit
   (recorder/transaction context-locality, copy-on-write removal).
@@ -24,10 +28,13 @@ import gc
 import glob
 import hashlib
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro import Runtime
 from repro.faults import FaultPlan, FaultRule, InjectedCrash, use_fault_plan
 from repro.modules.cache import ModuleCache
@@ -238,25 +245,107 @@ class TestConcurrentRuntimes:
         for _name, pid in report.get("tmp_live", []):
             assert pid == os.getpid()
 
-    def test_compile_graph_thread_mode_matches_serial(self, tmp_path, backend):
-        """`compile_graph(jobs=4, mode="thread")` — the in-process
-        wait-for-winner path — produces byte-identical artifacts and the
-        same report statuses as ``jobs=1``."""
+    def test_compile_graph_threads_match_serial(self, tmp_path, backend):
+        """N threads, each with its own Runtime, run ``compile_graph`` over
+        one graph and one cache dir: every module is stored once in all,
+        and the artifacts are byte-identical to one build in a fresh dir."""
         paths = write_graph(tmp_path / "src", N_MODULES)
 
         with Runtime(cache_dir=str(tmp_path / "serial"), backend=backend) as rt:
-            serial = rt.compile_graph(paths, jobs=1)
-        assert serial.ok
+            serial = rt.compile_graph(paths)
+        assert serial.ok, serial.errors
+        assert serial.counts()["compiled"] == N_MODULES
 
-        with Runtime(cache_dir=str(tmp_path / "parallel"), backend=backend) as rt:
-            parallel = rt.compile_graph(paths, jobs=4, mode="thread")
-        assert parallel.ok
-        assert parallel.jobs == 4
+        shared = str(tmp_path / "shared")
+        reports: list = []
+        stores: list[int] = []
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(N_THREADS)
 
-        assert artifact_digests(tmp_path / "parallel") == artifact_digests(
-            tmp_path / "serial"
+        def worker() -> None:
+            try:
+                with Runtime(cache_dir=shared, backend=backend) as rt:
+                    barrier.wait(timeout=30)
+                    reports.append(rt.compile_graph(paths))
+                    stores.append(rt.stats.cache_stores)
+            except BaseException as err:  # noqa: BLE001 - collected for assert
+                errors.append(err)
+
+        threads = [threading.Thread(target=worker) for _ in range(N_THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+        assert not errors, errors
+
+        assert len(reports) == N_THREADS
+        assert all(report.ok for report in reports), [r.errors for r in reports]
+        assert all(set(r.results) == set(serial.results) for r in reports)
+        assert sum(stores) == N_MODULES
+        assert sum(r.counts()["compiled"] for r in reports) == N_MODULES
+        assert artifact_digests(shared) == artifact_digests(tmp_path / "serial")
+
+    def test_claim_after_concurrent_store_loads_instead_of_compiling(self, tmp_path):
+        """The load-miss / claim race, forced: Runtime A misses and is held
+        just before it claims the artifact, while Runtime B misses, claims,
+        compiles, stores and releases. A then wins an uncontended claim; it
+        must load B's artifact rather than compile and store it again."""
+        module = tmp_path / "m.rkt"
+        module.write_text(
+            "#lang racket\n(define v 41)\n(provide v)\n(displayln (+ v 1))\n",
+            encoding="utf-8",
         )
-        assert set(serial.results) == set(parallel.results)
+        shared = str(tmp_path / "shared")
+
+        class HoldFirstClaim(FaultPlan):
+            """A zero-length ``delay`` at the first ``cache.lock`` that
+            holds its thread there until ``release`` is set."""
+
+            def __init__(self) -> None:
+                super().__init__(rules=[FaultRule("cache.lock", "delay", delay=0)])
+                self.arrived = threading.Event()
+                self.release = threading.Event()
+
+            def decide(self, site):
+                rule = super().decide(site)
+                if rule is not None:
+                    self.arrived.set()
+                    assert self.release.wait(timeout=60)
+                return rule
+
+        plan = HoldFirstClaim()
+        outcome: dict = {}
+
+        def runtime_a() -> None:
+            try:
+                with Runtime(cache_dir=shared) as rt:
+                    outcome["output"] = rt.run(rt.register_file(str(module)))
+                    outcome["stats"] = rt.stats.snapshot()
+            except BaseException as err:  # noqa: BLE001 - collected for assert
+                outcome["error"] = err
+                plan.arrived.set()
+
+        with use_fault_plan(plan):
+            thread = threading.Thread(target=runtime_a)
+            thread.start()
+            try:
+                assert plan.arrived.wait(timeout=60)
+                assert "error" not in outcome, outcome
+                with Runtime(cache_dir=shared) as rt:
+                    assert rt.run(rt.register_file(str(module))) == "42\n"
+                    assert rt.stats.cache_stores == 1
+            finally:
+                plan.release.set()
+                thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert plan.fired == [("cache.lock", "delay")]
+        assert "error" not in outcome, outcome
+        assert outcome["output"] == "42\n"
+        # A missed once, then loaded B's artifact: no second compile or store
+        assert outcome["stats"]["cache_misses"] == 1
+        assert outcome["stats"]["cache_hits"] == 1
+        assert outcome["stats"]["cache_stores"] == 0
+        assert outcome["stats"]["expansion_steps"] == 0
 
     def test_artifact_bytes_independent_of_dep_provenance(self, tmp_path, backend):
         """A module's artifact bytes must not depend on whether its deps
@@ -304,6 +393,35 @@ class TestConcurrentRuntimes:
             rt.compile(rt.register_file(paths[3]))
 
         assert artifact_digests(one) == artifact_digests(split)
+
+
+    def test_artifact_bytes_independent_of_import_order(self, tmp_path):
+        """Two processes that imported different parts of the platform
+        before their first Runtime store the same bytes. Regression: the
+        kernel export snapshot followed whatever had registered primitives
+        by then (importing ``repro.langs.typed`` first added and reordered
+        kernel names), so such a process wrote different artifacts."""
+        paths = write_graph(tmp_path / "src", 3)
+        script = (
+            "import sys\n"
+            "if sys.argv[1] == 'typed-first':\n"
+            "    import repro.langs.typed\n"
+            "from repro import Runtime\n"
+            "with Runtime(cache_dir=sys.argv[2]) as rt:\n"
+            "    assert rt.compile_graph(sys.argv[3:]).ok\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = []
+        for order in ("plain", "typed-first"):
+            cache_dir = str(tmp_path / order)
+            subprocess.run(
+                [sys.executable, "-c", script, order, cache_dir, *paths],
+                env=env, check=True, timeout=300,
+            )
+            digests.append(artifact_digests(cache_dir))
+        assert len(digests[0]) == 3
+        assert digests[0] == digests[1]
 
 
 class TestBindingTableRaceRegressions:

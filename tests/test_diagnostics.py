@@ -4,6 +4,7 @@ compilation."""
 
 from __future__ import annotations
 
+import gc
 from io import StringIO
 
 import pytest
@@ -215,6 +216,10 @@ class TestTransactionalCompilation:
 (undefined-variable-here)
 """,
         )
+        # the table is process-wide: finalize other tests' unreachable
+        # Runtimes now, or a collection during the compile releases their
+        # entries and the snapshots differ for reasons unrelated to rollback
+        gc.collect()
         before = TABLE.snapshot()
         with pytest.raises(Exception):
             rt.compile("m")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Runtime
 from repro.errors import ModuleError, SyntaxExpansionError, UnboundIdentifierError
 
 
@@ -332,3 +333,69 @@ class TestAllDefinedOut:
         rt.register_module("app", "#lang racket\n(require lib)\n(displayln (m))")
         with pytest.raises(UnboundIdentifierError):
             rt.run("app")
+
+
+FOUR_LANGS = {
+    "base.rkt": "#lang racket\n(define v0 5)\n(provide v0)\n",
+    "typed.rkt": '#lang typed\n(require/typed "base.rkt" [v0 Integer])\n'
+                 "(: v1 Integer)\n(define v1 (+ v0 1))\n(provide v1)\n",
+    "match.rkt": '#lang racket/match-ext\n(require "base.rkt")\n'
+                 "(define-match-expander pt "
+                 "(syntax-rules () [(_ a b) (list 'pt a b)]))\n"
+                 "(define v2 (match (list 'pt v0 2) [(pt a b) (+ a b)] [_ 0]))\n"
+                 "(provide v2)\n",
+    "infix.rkt": '#lang racket/infix\n(require "typed.rkt")\n'
+                 '(require "match.rkt")\n(define v3 {v1 + v2 * 2})\n'
+                 "(provide v3)\n(displayln v3)\n",
+}
+
+
+class TestCompileGraph:
+    """``compile_graph`` report statuses say what the build actually did."""
+
+    def write(self, root, sources):
+        paths = []
+        for name, text in sources.items():
+            path = root / name
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        return paths
+
+    def test_cold_build_compiles_and_warm_build_compiles_nothing(self, tmp_path):
+        paths = self.write(tmp_path, FOUR_LANGS)
+        cache_dir = str(tmp_path / "cache")
+        with Runtime(cache_dir=cache_dir) as rt:
+            cold = rt.compile_graph(paths)
+            assert cold.ok, cold.errors
+        assert cold.counts() == {"compiled": 4, "cache-hit": 0, "failed": 0}
+        with Runtime(cache_dir=cache_dir) as rt:
+            warm = rt.compile_graph(paths)
+            assert rt.run_file(paths[-1]) == "20\n"
+            assert rt.stats.expansion_steps == 0
+        # the dialect modules' artifacts live under their dialect-decorated
+        # cache key; they are cache hits all the same
+        assert warm.counts() == {"compiled": 0, "cache-hit": 4, "failed": 0}
+
+    def test_module_compiled_by_an_earlier_module_is_labelled_compiled(self, tmp_path):
+        # the require sits inside a ``begin``, out of the planner's sight:
+        # both modules land in one wave and a.rkt compiles b.rkt itself
+        paths = self.write(tmp_path, {
+            "a.rkt": '#lang racket\n(begin (require "b.rkt"))\n'
+                     "(define va (+ 1 vb))\n(provide va)\n",
+            "b.rkt": "#lang racket\n(define vb 2)\n(provide vb)\n",
+        })
+        with Runtime(cache_dir=str(tmp_path / "cache")) as rt:
+            report = rt.compile_graph(paths)
+        assert report.waves == [sorted(paths)]
+        assert report.counts() == {"compiled": 2, "cache-hit": 0, "failed": 0}
+
+    def test_failing_module_is_reported_and_the_rest_still_build(self, tmp_path):
+        paths = self.write(tmp_path, {
+            "bad.rkt": "#lang racket\n(define v no-such-binding)\n",
+            "good.rkt": "#lang racket\n(define v 1)\n(provide v)\n",
+        })
+        with Runtime(cache=False) as rt:
+            report = rt.compile_graph(paths)
+        assert not report.ok
+        assert set(report.errors) == {paths[0]}
+        assert report.results[paths[1]].status == "compiled"

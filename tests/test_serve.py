@@ -195,8 +195,8 @@ class TestValidation:
     @pytest.mark.parametrize("body", [
         {"paths": "not-a-list"},
         {"paths": [1, 2]},
-        {"paths": [], "jobs": 0},
-        {"paths": [], "mode": "warp"},
+        {"paths": [], "jobs": 2},
+        {"paths": [], "mode": "thread"},
     ])
     def test_bad_graph_bodies(self, srv, body):
         with pytest.raises(_BadRequest):
@@ -227,11 +227,10 @@ class TestGraphEndpoint:
             p = tmp_path / f"m{i}.rkt"
             p.write_text(body, encoding="utf-8")
             paths.append(str(p))
-        status, payload = srv.handle(
-            "POST", "/compile", {"paths": paths, "jobs": 2, "mode": "thread"}
-        )
+        status, payload = srv.handle("POST", "/compile", {"paths": paths})
         assert status == 200 and payload["ok"] is True
         assert payload["counts"]["compiled"] == 3
+        assert "jobs" not in payload and "mode" not in payload
         assert payload["counts"]["failed"] == 0
         assert len(payload["waves"]) >= 1
 
@@ -241,7 +240,7 @@ class TestGraphEndpoint:
             "#lang racket\n(define v no-such-binding)\n", encoding="utf-8"
         )
         status, payload = srv.handle(
-            "POST", "/compile", {"paths": [str(bad)], "jobs": 1}
+            "POST", "/compile", {"paths": [str(bad)]}
         )
         assert status == 200 and payload["ok"] is False
         assert payload["error"]["code"] == "X100"
